@@ -5,12 +5,19 @@
 
 GO ?= go
 
-.PHONY: ci vet doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
+.PHONY: ci vet no-deprecated doccheck docs build test race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke bench bench-solver bench-sparse bench-sparse-smoke
 
-ci: vet doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke
+ci: vet no-deprecated doccheck docs build race race-fault race-serve race-store race-batch race-shard race-campaign race-tenant race-fleet loadgen-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
+
+# Internal packages, commands and examples have no outside importers, so
+# a deprecated wrapper there is dead code: fail on any `Deprecated:`
+# marker instead of keeping it for source compatibility.
+no-deprecated:
+	@if grep -rn --include='*.go' 'Deprecated:' internal cmd examples; then \
+		echo 'no-deprecated: delete the wrapper and migrate its callers'; exit 1; fi
 
 # Every package must open with a doc comment mapping it to its paper
 # section/equation; see cmd/doccheck.
@@ -54,11 +61,11 @@ race-serve:
 race-store:
 	$(GO) test -race -count=2 -run 'Store|Crash|Recover|Cache|Retention|Evict|RetryAfter|Interrupted|Seed|Hash' ./internal/store/ ./internal/serve/ ./internal/jobspec/
 
-# The batched trial-evaluation paths under the race detector: circuit
-# reuse across core chunks, the jobspec deck pool, and the bit-identity
-# pins that prove reuse never changes a result.
+# The shared trial engine and die pool under the race detector: die
+# reuse in core and jobspec, the bit-identity pins that prove reuse never
+# changes a result, and the golden pins of the engine's output.
 race-batch:
-	$(GO) test -race -count=2 -run 'Batch|Quantile|Sparse' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/device/ ./internal/circuit/
+	$(GO) test -race -count=2 -run 'Batch|Quantile|Sparse|Golden' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/circuit/
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,

@@ -9,7 +9,7 @@ import (
 	"repro/internal/device"
 )
 
-// Regression: AgeTo used to step devices in map-iteration order; it must
+// Regression: AgeToCtx used to step devices in map-iteration order; it must
 // produce bit-identical trajectories and damage run-to-run.
 func TestAgeToDeterministicTrajectories(t *testing.T) {
 	tech := device.MustTech("65nm")
@@ -17,7 +17,7 @@ func TestAgeToDeterministicTrajectories(t *testing.T) {
 	run := func(seed uint64) ([]Checkpoint, map[string]device.Damage) {
 		c := mirrorCircuit(tech)
 		ager := NewCircuitAger(c, DefaultModels(), 360, seed)
-		traj, err := ager.AgeTo(checkpoints)
+		traj, err := ager.AgeToCtx(context.Background(), checkpoints)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/aging"
@@ -91,14 +89,14 @@ type Simulator struct {
 	GlobalSigmaVT, GlobalSigmaBeta float64
 	// Seed makes the whole analysis reproducible.
 	Seed uint64
-	// Batch is the number of consecutive trials evaluated on one reused
-	// circuit instance before it is rebuilt: each worker builds a die once
-	// per chunk, then re-fabricates it in place (damage snapshot restored,
-	// fresh mismatch applied, solver state reset) for the remaining trials,
-	// amortising netlist construction, pattern discovery and symbolic
-	// factorisation. Results are bit-identical for any Batch value — the
-	// per-trial RNG streams depend only on (Seed, index). Values <= 1 run
-	// the classic one-circuit-per-trial path.
+	// Batch is the maximum number of trials one die serves. Dies come from
+	// a shared reuse pool: a die that finished a trial cleanly is
+	// re-fabricated in place for the next one (damage snapshot restored,
+	// fresh mismatch applied, solver state reset), amortising netlist
+	// construction, pattern discovery and symbolic factorisation. Results
+	// are bit-identical for any Batch value — the per-trial RNG streams
+	// depend only on (Seed, index). Values <= 1 build a fresh circuit for
+	// every trial.
 	Batch int
 }
 
@@ -188,20 +186,11 @@ func (r *Result) YieldAt(t float64) variation.YieldEstimate {
 
 // trialOut is the private outcome of one reliability trial.
 type trialOut struct {
-	ok        bool
-	cancelled bool        // never ran: context cancelled before dispatch
-	inSpec    []bool      // per checkpoint
-	values    [][]float64 // per checkpoint per metric
-	err       *variation.TrialError
-	newton    int64 // Newton iterations spent by this trial's circuit
-}
-
-// Run is RunCtx with context.Background().
-//
-// Deprecated: call RunCtx so the campaign can be cancelled or bounded by
-// a deadline; this wrapper remains for source compatibility only.
-func (s *Simulator) Run(nTrials int, mission Mission) (*Result, error) {
-	return s.RunCtx(context.Background(), nTrials, mission)
+	ok     bool
+	inSpec []bool      // per checkpoint
+	values [][]float64 // per checkpoint per metric
+	err    *variation.TrialError
+	newton int64 // Newton iterations spent by this trial's circuit
 }
 
 // RunCtx executes nTrials Monte-Carlo reliability trials. Trials run in
@@ -235,52 +224,23 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	nCk := len(times)
 	nMet := len(s.Metrics)
 
-	outs := make([]trialOut, nTrials)
-	root := mathx.NewRNG(s.Seed)
-	guess := s.nominalGuess()
-
-	batch := s.Batch
-	if batch < 1 {
-		batch = 1
+	var latency *obs.Histogram
+	if m != nil {
+		latency = m.trialSeconds
 	}
-	nChunks := (nTrials + batch - 1) / batch
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int) // chunk start index
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for start := range jobs {
-				end := start + batch
-				if end > nTrials {
-					end = nTrials
-				}
-				s.runChunk(ctx, outs[start:end], start, root, times, mission, guess, m)
-			}
-		}()
-	}
-	sentEnd := 0
-dispatch:
-	for start := 0; start < nTrials; start += batch {
-		select {
-		case jobs <- start:
-			sentEnd = start + batch
-		case <-ctx.Done():
-			break dispatch
+	pool := s.diePool()
+	outs := variation.RunTrials(ctx, s.Seed, 0, nTrials, s.Batch, latency, func(rng *mathx.RNG, i int) (trialOut, error) {
+		d, err := pool.Get()
+		if err != nil {
+			return trialOut{}, &variation.TrialError{Index: i, Phase: "build", Cause: err}
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if sentEnd > nTrials {
-		sentEnd = nTrials
-	}
-	for i := sentEnd; i < nTrials; i++ {
-		outs[i].cancelled = true
-	}
+		out := s.runTrialOn(d.V.c, i, rng, times, mission)
+		if out.err != nil {
+			return out, out.err
+		}
+		pool.Put(d)
+		return out, nil
+	})
 
 	res := &Result{Times: times, Trials: nTrials}
 	for _, m := range s.Metrics {
@@ -292,7 +252,8 @@ dispatch:
 	for k := 0; k < nCk; k++ {
 		pass, total := 0, 0
 		stats := make([]mathx.Moments, nMet)
-		for _, o := range outs {
+		for _, oc := range outs {
+			o := oc.Value
 			if !o.ok {
 				continue
 			}
@@ -323,17 +284,16 @@ dispatch:
 		res.MetricMeans[k] = means
 		res.MetricStats[k] = stats
 	}
-	for _, o := range outs {
+	for _, oc := range outs {
+		o := oc.Value
 		res.Telemetry.NewtonIterations += o.newton
 		switch {
-		case o.cancelled:
+		case !oc.Ran:
 			res.Cancelled++
 			continue
-		case !o.ok:
+		case oc.Err != nil:
 			res.Errors++
-			if o.err != nil {
-				res.TrialErrors = append(res.TrialErrors, o.err)
-			}
+			res.TrialErrors = append(res.TrialErrors, oc.Err)
 			continue
 		}
 		ft := math.Inf(1)
@@ -363,74 +323,68 @@ dispatch:
 	return res, nil
 }
 
-// nominalGuess solves the nominal build once and hands its solution to
-// every trial as a warm start: mismatch and corners only perturb the bias
-// point, so each trial's first Newton solve starts next to its answer
-// instead of climbing the cold homotopy ladder. The guess is read-only
-// and shared; trials that diverge from it fall back to the cold ladder
-// inside OperatingPoint, so this is purely a performance hint — a failing
-// or even panicking nominal build just disables it.
-func (s *Simulator) nominalGuess() (guess []float64) {
-	defer func() { _ = recover() }()
-	if c0, err := s.Build(); err == nil {
-		if sol, err := c0.OperatingPoint(); err == nil {
-			guess = sol.X
-		}
-	}
-	return
+// die is one fabricated circuit plus the post-Build damage of its
+// MOSFETs, which reuse restores.
+type die struct {
+	c    *circuit.Circuit
+	devs []*circuit.MOSFET
+	snap []device.Damage
 }
 
-// runChunk evaluates the trials [start, start+len(outs)) on one worker.
-// With Batch > 1 one circuit is built for the whole chunk and re-fabricated
-// in place between trials — damage restored to its post-Build snapshot,
-// solver warm-start state reset, the nominal guess re-seeded — which is
-// exactly the state a fresh Build produces, so results are bit-identical
-// to the one-circuit-per-trial path. A die whose trial errors or panics is
-// dropped (its state is suspect) and the next trial rebuilds.
-func (s *Simulator) runChunk(ctx context.Context, outs []trialOut, start int, root *mathx.RNG, times []float64, mission Mission, guess []float64, m *pkgMetrics) {
-	var c *circuit.Circuit
-	var devs []*circuit.MOSFET
-	var snap []device.Damage
-	for k := range outs {
-		i := start + k
-		if ctx.Err() != nil {
-			outs[k].cancelled = true
-			continue
-		}
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
-		if c == nil {
-			c2, err := s.buildTrialCircuit(guess)
+// diePool hands trials their circuits. With Batch > 1 a die serves up to
+// Batch trials and is re-fabricated in place between them — damage
+// restored to its post-Build snapshot, solver warm-start state reset, the
+// nominal guess re-seeded — which is exactly the state a fresh Build
+// produces, so results are bit-identical to the one-circuit-per-trial
+// path. A die whose trial errors or panics is never returned to the pool.
+//
+// The first die is the nominal build: it is solved once and its solution
+// handed to every trial as a warm start. Mismatch and corners only
+// perturb the bias point, so each trial's first Newton solve starts next
+// to its answer instead of climbing the cold homotopy ladder. Trials that
+// diverge from the guess fall back to the cold ladder inside
+// OperatingPoint, so the guess is purely a performance hint: a failing
+// or even panicking nominal build just disables it. The solved nominal
+// die then joins the pool, its solve counted as one of its Batch uses.
+func (s *Simulator) diePool() *variation.Pool[die] {
+	var guess []float64
+	p := &variation.Pool[die]{
+		Uses: s.Batch,
+		New: func() (die, error) {
+			c, err := s.buildTrialCircuit(guess)
 			if err != nil {
-				outs[k] = trialOut{err: &variation.TrialError{Index: i, Phase: "build", Cause: err}}
-				sp.End()
-				continue
+				return die{}, err
 			}
-			c = c2
-			if len(outs) > 1 {
-				devs = c.MOSFETs()
-				snap = make([]device.Damage, len(devs))
-				for d, mos := range devs {
-					snap[d] = mos.Dev.Damage
+			d := die{c: c}
+			if s.Batch > 1 {
+				d.devs = c.MOSFETs()
+				d.snap = make([]device.Damage, len(d.devs))
+				for i, mos := range d.devs {
+					d.snap[i] = mos.Dev.Damage
 				}
 			}
-		} else {
-			for d, mos := range devs {
-				mos.Dev.Damage = snap[d]
+			return d, nil
+		},
+		Reset: func(d die) {
+			for i, mos := range d.devs {
+				mos.Dev.Damage = d.snap[i]
 			}
-			c.ResetSolverState()
+			d.c.ResetSolverState()
 			if guess != nil {
-				_ = c.SetInitialGuess(guess)
+				_ = d.c.SetInitialGuess(guess)
+			}
+		},
+	}
+	func() {
+		defer func() { _ = recover() }()
+		if d, err := p.Get(); err == nil {
+			if sol, err := d.V.c.OperatingPoint(); err == nil {
+				guess = sol.X
+				p.Put(d)
 			}
 		}
-		outs[k] = s.runTrialOn(c, i, root.Split(uint64(i)), times, mission)
-		if !outs[k].ok {
-			c = nil
-		}
-		sp.End()
-	}
+	}()
+	return p
 }
 
 // buildTrialCircuit runs the user Build callback with panic isolation and

@@ -343,52 +343,6 @@ func executeAge(ctx context.Context, deck *netlist.Deck, spec *Spec, res *Result
 	return nil
 }
 
-// deckPool recycles parsed netlist decks across Monte-Carlo trials. A
-// trial that finishes cleanly returns its deck for reuse by the next
-// trial (up to batch uses, bounding state drift); a trial that errors
-// drops its deck, since a non-converged circuit's state is suspect.
-// Reused decks are reset to fresh-parse solver state before handing out,
-// so pooling never changes a result.
-type deckPool struct {
-	text  string
-	batch int
-
-	mu   sync.Mutex
-	free []*pooledDeck
-}
-
-type pooledDeck struct {
-	deck *netlist.Deck
-	uses int
-}
-
-func (p *deckPool) get() (*pooledDeck, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		d := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		d.deck.Circuit.ResetSolverState()
-		return d, nil
-	}
-	p.mu.Unlock()
-	deck, err := netlist.Parse(p.text)
-	if err != nil {
-		return nil, err
-	}
-	return &pooledDeck{deck: deck}, nil
-}
-
-func (p *deckPool) put(d *pooledDeck) {
-	d.uses++
-	if d.uses >= p.batch {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, d)
-	p.mu.Unlock()
-}
-
 // decodeResume parses journaled chunk checkpoints back into ChunkStats
 // and validates them against the campaign grid. A payload that does not
 // decode or does not fit the grid is an error: resuming with a foreign
@@ -484,10 +438,14 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 	if batch < 1 {
 		batch = 32
 	}
-	pool := &deckPool{text: text, batch: batch}
 	var guess []float64
 	if sol, err := deck.Circuit.OperatingPoint(); err == nil {
 		guess = sol.X
+	}
+	pool := &variation.Pool[*netlist.Deck]{
+		Uses:  batch,
+		New:   func() (*netlist.Deck, error) { return netlist.Parse(text) },
+		Reset: func(d *netlist.Deck) { d.Circuit.ResetSolverState() },
 	}
 	from, to := 0, p.Trials
 	if p.Range != nil {
@@ -529,23 +487,24 @@ func executeMC(ctx context.Context, text string, deck *netlist.Deck, spec *Spec,
 		KeepValues: p.Range == nil && len(resume) == 0,
 		Trial: func(rng *mathx.RNG, _ int) (float64, error) {
 			defer meter.tick()
-			die, err := pool.get()
+			die, err := pool.Get()
 			if err != nil {
 				return 0, err
 			}
+			d := die.V
 			if guess != nil {
-				_ = die.deck.Circuit.SetInitialGuess(guess)
+				_ = d.Circuit.SetInitialGuess(guess)
 			}
 			if pinned != nil {
-				variation.ApplyRandomMismatchAtCorner(die.deck.Circuit, die.deck.Tech, *pinned, rng)
+				variation.ApplyRandomMismatchAtCorner(d.Circuit, d.Tech, *pinned, rng)
 			} else {
-				variation.ApplyRandomMismatch(die.deck.Circuit, die.deck.Tech, variation.NominalCorner(), rng)
+				variation.ApplyRandomMismatch(d.Circuit, d.Tech, variation.NominalCorner(), rng)
 			}
-			sol, err := die.deck.Circuit.OperatingPoint()
+			sol, err := d.Circuit.OperatingPoint()
 			if err != nil {
 				return 0, err
 			}
-			pool.put(die)
+			pool.Put(die)
 			return sol.Voltage(p.Node), nil
 		},
 		OnChunk: func(st variation.ChunkStat) {

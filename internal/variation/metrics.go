@@ -8,8 +8,8 @@ import (
 
 // pkgMetrics holds the Monte-Carlo engine's instruments. Trial latency is
 // recorded per trial inside the worker (lock-striped histogram); the
-// outcome counters are added during single-threaded result assembly so
-// they always sum consistently with the MCResult they describe.
+// outcome counters are added chunk by chunk during the single-threaded
+// fold, so they count exactly the trials this process ran.
 type pkgMetrics struct {
 	trials       *obs.Counter
 	nans         *obs.Counter
@@ -65,13 +65,14 @@ func SetMetrics(reg *obs.Registry) {
 	met.Store(m)
 }
 
-// record adds one finished MCResult to the global counters. Called once
-// per run from the assembling goroutine.
-func (m *pkgMetrics) record(res *MCResult) {
-	m.trials.Add(int64(res.Completed()))
-	m.nans.Add(int64(res.NaNs))
-	m.cancelled.Add(int64(res.Cancelled))
-	for _, te := range res.Errors {
-		m.failures[te.Kind()].Inc()
+// record adds the outcomes of one chunk computed by this process — never
+// a chunk folded from a checkpoint — to the counters. Failure kinds come
+// from the chunk's ByKind tally, which is filled whether or not per-trial
+// errors are kept.
+func (m *pkgMetrics) record(st *MCStats) {
+	m.trials.Add(int64(st.Completed()))
+	m.nans.Add(int64(st.NaNs))
+	for k, c := range m.failures {
+		c.Add(int64(st.ByKind[FailureKind(k).String()]))
 	}
 }

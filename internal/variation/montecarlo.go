@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/mathx"
-	"repro/internal/obs"
 )
 
 // Trial is one Monte-Carlo evaluation. It receives a private, reproducible
@@ -43,8 +39,7 @@ type MCResult struct {
 	Elapsed time.Duration
 	// N is the requested trial count.
 	N int
-	// Stats is the mergeable statistical summary of the run, set by the
-	// Campaign engine (and usable standalone via MCStats.Merge). When
+	// Stats is the mergeable statistical summary of the run. When
 	// Values is empty — sharded or resumed campaigns don't ship per-trial
 	// values — Mean/StdDev/Quantile/Completed answer from Stats instead.
 	Stats *MCStats
@@ -132,168 +127,19 @@ func (r *MCResult) Completed() int {
 	return len(r.Values) + r.NaNs + r.Failures
 }
 
-// Merge folds other into r as mergeable statistics: both results'
-// Stats (derived from Values on demand) combine exactly for moments and
-// counts, with bounded-error quantiles. Per-trial Values and Errors are
-// not carried over — a merged result reports from Stats. Merge results in
-// ascending shard order for bit-determinism across runs.
-func (r *MCResult) Merge(other *MCResult) {
-	if other == nil {
-		return
-	}
-	if r.Stats == nil {
-		r.Stats = statsFromValues(r)
-	}
-	os := other.Stats
-	if os == nil {
-		os = statsFromValues(other)
-	}
-	r.Stats.Merge(os)
-	r.N += other.N
-	r.NaNs = r.Stats.NaNs
-	r.Failures = r.Stats.Failures
-	r.Cancelled += other.Cancelled
-	r.Resumed += other.Resumed
-	if other.Elapsed > r.Elapsed {
-		r.Elapsed = other.Elapsed // shards run concurrently: wall time is the max
-	}
-	r.SetValues(nil)
-	r.Errors = nil
-}
-
-// statsFromValues derives an MCStats from a result that only carries
-// per-trial values (a pre-campaign MCResult).
-func statsFromValues(r *MCResult) *MCStats {
-	st := &MCStats{NaNs: r.NaNs}
-	for _, v := range r.Values {
-		st.addValue(v, false)
-	}
-	for _, te := range r.Errors {
-		st.addFailure(te)
-	}
-	st.Failures = r.Failures // trust the counter even if Errors were trimmed
-	return st
-}
-
 // ErrorsByKind tallies the structured failures by taxonomy kind.
 func (r *MCResult) ErrorsByKind() map[FailureKind]int { return CountByKind(r.Errors) }
 
-// MonteCarlo is MonteCarloCtx with context.Background().
-//
-// Deprecated: call MonteCarloCtx so the run can be cancelled or bounded
-// by a deadline; this wrapper remains for source compatibility only.
-func MonteCarlo(n int, seed uint64, trial Trial) (*MCResult, error) {
-	return MonteCarloCtx(context.Background(), n, seed, trial)
-}
-
-// MonteCarloCtx runs n trials with the given seed. Trials execute in
-// parallel but every trial's RNG stream depends only on (seed, index), so
-// results are bit-identical regardless of GOMAXPROCS; n <= 0 is an error.
-// A panicking trial is recovered inside its worker and recorded as a
-// structured *TrialError instead of crashing the process. When ctx is
-// cancelled the dispatcher stops handing out work, the workers drain, and
-// the partial result is returned with accurate Failures/NaNs/Cancelled
-// counts alongside an error wrapping ErrCancelled.
+// MonteCarloCtx runs n trials with the given seed: a full-range Campaign
+// that keeps per-trial values and errors. Trials execute in parallel but
+// every trial's RNG stream depends only on (seed, index), so results are
+// bit-identical regardless of GOMAXPROCS; n <= 0 is an error. A panicking
+// trial is recorded as a structured *TrialError instead of crashing the
+// process. When ctx is cancelled no further trial starts and the partial
+// result is returned with accurate Failures/NaNs/Cancelled counts
+// alongside an error wrapping ErrCancelled.
 func MonteCarloCtx(ctx context.Context, n int, seed uint64, trial Trial) (*MCResult, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("variation: MonteCarlo needs n > 0, got %d", n)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	root := mathx.NewRNG(seed)
-	type slot struct {
-		value float64
-		ok    bool
-		nan   bool
-		done  bool
-		err   *TrialError
-	}
-	slots := make([]slot, n)
-	m := met.Load()
-	// runOne executes a single trial with panic isolation: a recovered
-	// panic fills the slot with a structured error and the worker moves on
-	// to the next trial. Per-trial latency is recorded here in the worker
-	// (panicking trials included); outcome counters are tallied once during
-	// result assembly.
-	runOne := func(i int) {
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
-		defer func() {
-			sp.End()
-			if r := recover(); r != nil {
-				slots[i] = slot{done: true, err: &TrialError{
-					Index: i, Phase: "trial",
-					Cause: &PanicError{Value: r, Stack: debug.Stack()},
-				}}
-			}
-		}()
-		rng := root.Split(uint64(i))
-		v, err := trial(rng, i)
-		switch {
-		case err != nil:
-			slots[i] = slot{done: true, err: &TrialError{Index: i, Phase: "trial", Cause: err}}
-		case math.IsNaN(v):
-			slots[i] = slot{done: true, nan: true}
-		default:
-			slots[i] = slot{done: true, value: v, ok: true}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					// Cancelled after dispatch: leave the slot unrun.
-					continue
-				}
-				runOne(i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	res := &MCResult{N: n, Values: make([]float64, 0, n)}
-	for _, s := range slots {
-		switch {
-		case s.ok:
-			res.Values = append(res.Values, s.value)
-		case s.nan:
-			res.NaNs++
-		case s.done:
-			res.Failures++
-			res.Errors = append(res.Errors, s.err)
-		default:
-			res.Cancelled++
-		}
-	}
-	res.Elapsed = time.Since(start)
-	if m != nil {
-		m.record(res)
-	}
-	if err := ctx.Err(); err != nil {
-		return res, fmt.Errorf("%w after %d/%d trials: %v", ErrCancelled, res.Completed(), n, err)
-	}
-	return res, nil
+	return (&Campaign{Trials: n, Seed: seed, Trial: trial, KeepValues: true}).Run(ctx)
 }
 
 // Spec is an interval specification on a metric: the circuit passes when

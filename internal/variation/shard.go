@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/mathx"
@@ -192,10 +189,10 @@ type Campaign struct {
 	// chunk grid and the RNG substream of every trial, even when this
 	// executor only runs a sub-range.
 	Trials int
-	// Seed is the campaign seed; trial i draws from NewRNG(Seed).Split(i)
-	// exactly as MonteCarloCtx does, so a campaign reproduces it.
+	// Seed is the campaign seed; trial i draws from NewRNG(Seed).Split(i),
+	// so any sub-range reproduces the full campaign's trials.
 	Seed uint64
-	// Trial evaluates one die (see MonteCarloCtx for the contract).
+	// Trial evaluates one die (see Trial for the contract).
 	Trial Trial
 	// Spec, when non-nil, counts per-trial passes into MCStats.Pass.
 	Spec *Spec
@@ -220,9 +217,9 @@ type Campaign struct {
 // merged Stats (plus Values/Errors when KeepValues); its counters obey
 // Cancelled + NaNs + Failures + successes == To-From. Cancellation
 // mid-run returns the completed portion with an error wrapping
-// ErrCancelled, exactly like MonteCarloCtx; the partially-run chunk is
-// folded into Stats but never emitted through OnChunk, so checkpoints
-// only ever describe complete chunks.
+// ErrCancelled; the partially-run chunk is folded into Stats but never
+// emitted through OnChunk, so checkpoints only ever describe complete
+// chunks.
 func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	if c.Trials <= 0 {
 		return nil, fmt.Errorf("variation: campaign needs Trials > 0, got %d", c.Trials)
@@ -255,8 +252,11 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	}
 
 	start := time.Now()
-	root := mathx.NewRNG(c.Seed)
 	m := met.Load()
+	var latency *obs.Histogram
+	if m != nil {
+		latency = m.trialSeconds
+	}
 	res := &MCResult{N: to - from, Stats: &MCStats{}}
 	completed := 0
 	firstChunk, lastChunk := from/cs, (to+cs-1)/cs
@@ -274,34 +274,34 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 			break
 		}
 		cf, ct := ChunkRange(c.Trials, chunk)
-		slots := runChunkTrials(ctx, root, cf, ct, c.Trial, m)
+		outs := RunTrials[float64](ctx, c.Seed, cf, ct, 1, latency, c.Trial)
 		// Fold in trial order: the sequential fold is what makes the final
 		// Stats independent of worker scheduling and shard count.
 		st := ChunkStat{Chunk: chunk, From: cf, To: ct}
-		ran := 0
-		for i, sl := range slots {
+		for _, o := range outs {
 			switch {
-			case sl.ok:
-				st.Stats.addValue(sl.value, c.Spec != nil && c.Spec.Pass(sl.value))
+			case !o.Ran:
+				continue // cancelled before it started: accounted below
+			case o.Err != nil:
+				st.Stats.addFailure(o.Err)
 				if c.KeepValues {
-					res.Values = append(res.Values, sl.value)
+					res.Errors = append(res.Errors, o.Err)
 				}
-				ran++
-			case sl.nan:
+			case math.IsNaN(o.Value):
 				st.Stats.NaNs++
-				ran++
-			case sl.done:
-				st.Stats.addFailure(sl.err)
-				if c.KeepValues {
-					res.Errors = append(res.Errors, sl.err)
-				}
-				ran++
 			default:
-				_ = i // cancelled before dispatch: accounted below
+				st.Stats.addValue(o.Value, c.Spec != nil && c.Spec.Pass(o.Value))
+				if c.KeepValues {
+					res.Values = append(res.Values, o.Value)
+				}
 			}
 		}
 		res.Stats.Merge(&st.Stats)
+		ran := st.Stats.Completed()
 		completed += ran
+		if m != nil {
+			m.record(&st.Stats)
+		}
 		if ran == ct-cf {
 			// Only a complete chunk is checkpoint-worthy.
 			if m != nil {
@@ -317,81 +317,10 @@ func (c *Campaign) Run(ctx context.Context) (*MCResult, error) {
 	res.Cancelled = (to - from) - completed
 	res.Elapsed = time.Since(start)
 	if m != nil {
-		m.record(res)
+		m.cancelled.Add(int64(res.Cancelled))
 	}
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("%w after %d/%d trials: %v", ErrCancelled, res.Completed(), to-from, err)
 	}
 	return res, nil
-}
-
-// trialSlot is one trial's outcome, indexed by position within a chunk.
-type trialSlot struct {
-	value float64
-	ok    bool
-	nan   bool
-	done  bool
-	err   *TrialError
-}
-
-// runChunkTrials executes global trials [from, to) in parallel with the
-// same panic isolation, per-trial RNG substreams and cancellation
-// semantics as MonteCarloCtx. Slot i holds global trial from+i.
-func runChunkTrials(ctx context.Context, root *mathx.RNG, from, to int, trial Trial, m *pkgMetrics) []trialSlot {
-	n := to - from
-	slots := make([]trialSlot, n)
-	runOne := func(g int) {
-		var sp obs.Span
-		if m != nil {
-			sp = obs.StartSpan(m.trialSeconds)
-		}
-		defer func() {
-			sp.End()
-			if r := recover(); r != nil {
-				slots[g-from] = trialSlot{done: true, err: &TrialError{
-					Index: g, Phase: "trial",
-					Cause: &PanicError{Value: r, Stack: debug.Stack()},
-				}}
-			}
-		}()
-		rng := root.Split(uint64(g))
-		v, err := trial(rng, g)
-		switch {
-		case err != nil:
-			slots[g-from] = trialSlot{done: true, err: &TrialError{Index: g, Phase: "trial", Cause: err}}
-		case math.IsNaN(v):
-			slots[g-from] = trialSlot{done: true, nan: true}
-		default:
-			slots[g-from] = trialSlot{done: true, value: v, ok: true}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				runOne(g)
-			}
-		}()
-	}
-dispatch:
-	for g := from; g < to; g++ {
-		select {
-		case next <- g:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	return slots
 }

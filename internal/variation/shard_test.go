@@ -45,30 +45,41 @@ func TestChunkGridCoversTrials(t *testing.T) {
 	}
 }
 
-// A full-range campaign must reproduce MonteCarloCtx bit-for-bit: same
-// per-trial RNG substreams, same values in trial order, same accounting.
+// A full-range campaign must reproduce a serial trial loop bit-for-bit:
+// trial i draws from NewRNG(seed).Split(i), values land in trial order,
+// and the accounting matches.
 func TestCampaignMatchesMonteCarlo(t *testing.T) {
 	const n, seed = 600, 7
-	mc, err := MonteCarloCtx(context.Background(), n, seed, gaussTrial)
-	if err != nil {
-		t.Fatal(err)
+	var values []float64
+	failures, nans := 0, 0
+	root := mathx.NewRNG(seed)
+	for i := 0; i < n; i++ {
+		v, err := gaussTrial(root.Split(uint64(i)), i)
+		switch {
+		case err != nil:
+			failures++
+		case math.IsNaN(v):
+			nans++
+		default:
+			values = append(values, v)
+		}
 	}
 	camp := &Campaign{Trials: n, Seed: seed, Trial: gaussTrial, KeepValues: true}
 	cr, err := camp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cr.Values) != len(mc.Values) {
-		t.Fatalf("campaign %d values, MonteCarloCtx %d", len(cr.Values), len(mc.Values))
+	if len(cr.Values) != len(values) {
+		t.Fatalf("campaign %d values, serial loop %d", len(cr.Values), len(values))
 	}
 	for i := range cr.Values {
-		if cr.Values[i] != mc.Values[i] {
-			t.Fatalf("value %d: %g != %g", i, cr.Values[i], mc.Values[i])
+		if cr.Values[i] != values[i] {
+			t.Fatalf("value %d: %g != %g", i, cr.Values[i], values[i])
 		}
 	}
-	if cr.Failures != mc.Failures || cr.NaNs != mc.NaNs || cr.Completed() != mc.Completed() {
-		t.Fatalf("accounting: campaign (%d,%d,%d) vs mc (%d,%d,%d)",
-			cr.Failures, cr.NaNs, cr.Completed(), mc.Failures, mc.NaNs, mc.Completed())
+	if cr.Failures != failures || cr.NaNs != nans || cr.Completed() != n {
+		t.Fatalf("accounting: campaign (%d,%d,%d) vs serial (%d,%d,%d)",
+			cr.Failures, cr.NaNs, cr.Completed(), failures, nans, n)
 	}
 	// Stats must agree with the value set they summarise (Welford vs
 	// two-pass mean differ only in rounding).
@@ -249,6 +260,36 @@ func TestCampaignCancelPartial(t *testing.T) {
 	}
 }
 
+// TestQuantileCache asserts MCResult.Quantile sorts once per dataset:
+// repeated reads are allocation-free, and appending values invalidates the
+// cached order.
+func TestQuantileCache(t *testing.T) {
+	r := &MCResult{}
+	for i := 0; i < 1000; i++ {
+		r.Append(float64((i * 7919) % 1000))
+	}
+	if got, want := r.Quantile(0), 0.0; got != want {
+		t.Fatalf("Quantile(0) = %g, want %g", got, want)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, p := range []float64{0.05, 0.5, 0.95, 0.99} {
+			r.Quantile(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached Quantile reads allocate %.1f times, want 0", allocs)
+	}
+	if got, want := r.Quantile(0.5), mathx.Quantile(r.Values, 0.5); got != want {
+		t.Fatalf("cached median %g, uncached %g", got, want)
+	}
+
+	// Appending must invalidate: the new maximum is visible immediately.
+	r.Append(5000)
+	if got := r.Quantile(1); got != 5000 {
+		t.Fatalf("Quantile(1) after append = %g, want 5000", got)
+	}
+}
+
 // Satellite regression: replacing Values at unchanged length must not
 // serve stale quantiles. The cache keys on length, so a same-length
 // replacement through SetValues (or Invalidate) has to drop it.
@@ -266,26 +307,5 @@ func TestQuantileCacheInvalidatedOnSameLengthReplace(t *testing.T) {
 	r.Invalidate()
 	if got := r.Quantile(0); got != -100 {
 		t.Fatalf("stale quantile after Invalidate: got %g, want -100", got)
-	}
-}
-
-// Merging two value-carrying results must agree with the statistics of
-// the concatenated value sets.
-func TestMCResultMerge(t *testing.T) {
-	a := &MCResult{N: 3, Values: []float64{1, 2, 3}}
-	b := &MCResult{N: 4, Values: []float64{4, 5, 6, 7}, NaNs: 1}
-	all := append(append([]float64(nil), a.Values...), b.Values...)
-	a.Merge(b)
-	if a.N != 7 || a.NaNs != 1 {
-		t.Fatalf("merged N=%d NaNs=%d", a.N, a.NaNs)
-	}
-	if got, want := a.Mean(), mathx.Mean(all); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("merged mean %g != %g", got, want)
-	}
-	if got, want := a.StdDev(), mathx.StdDev(all); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("merged std %g != %g", got, want)
-	}
-	if a.Completed() != 8 {
-		t.Fatalf("merged completed %d, want 8", a.Completed())
 	}
 }
