@@ -63,9 +63,10 @@ race-store:
 
 # The shared trial engine and die pool under the race detector: die
 # reuse in core and jobspec, the bit-identity pins that prove reuse never
-# changes a result, and the golden pins of the engine's output.
+# changes a result, the golden pins of the engine's output, and the
+# zero-allocation pins of a die's ager step and per-trial re-seed.
 race-batch:
-	$(GO) test -race -count=2 -run 'Batch|Quantile|Sparse|Golden' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/circuit/
+	$(GO) test -race -count=2 -run 'Batch|Quantile|Sparse|Golden|Ager.*Allocs' ./internal/core/ ./internal/jobspec/ ./internal/variation/ ./internal/circuit/ ./internal/aging/
 
 # The sharded-campaign and checkpoint/resume paths under the race
 # detector: mergeable moments and sketches, shard-seed independence,

@@ -89,10 +89,7 @@ func main() {
 	record(0)
 	prev := 0.0
 	for _, age := range aging.LogCheckpoints(1e5, 10*year, 6) {
-		stress := aging.ExtractStressOP(o2.Circuit, 400)
-		for _, name := range ager.SortedAgerNames() {
-			ager.Ager(name).Step(stress[name], age-prev)
-		}
+		ager.Step(age - prev)
 		prev = age
 		record(age)
 	}

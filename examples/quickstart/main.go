@@ -50,8 +50,7 @@ func main() {
 	t.AddRow("0yr", report.SI(vnom, "V"), "0V")
 	prev := 0.0
 	for _, age := range aging.LogCheckpoints(3600, 10*year, 8) {
-		stress := aging.ExtractStressOP(d.Circuit, 350)
-		ager.Ager("M1").Step(stress["M1"], age-prev)
+		ager.Step(age - prev)
 		prev = age
 		cp, err := d.Circuit.OperatingPoint()
 		if err != nil {

@@ -54,16 +54,7 @@ func (a *CircuitAger) AgeProfile(phases []MissionPhase) ([]Checkpoint, error) {
 		a.DutyOverride = p.Duty
 		dt := p.Duration / float64(p.Checkpoints)
 		for k := 0; k < p.Checkpoints; k++ {
-			stress := ExtractStressOP(a.Circuit, a.TempK)
-			for name, ager := range a.agers {
-				s := stress[name]
-				if a.DutyOverride != nil {
-					if d, ok := a.DutyOverride[name]; ok {
-						s.Duty = d
-					}
-				}
-				ager.Step(s, dt)
-			}
+			a.Step(dt)
 			now += dt
 			sol, err := a.Circuit.OperatingPoint()
 			if err != nil {

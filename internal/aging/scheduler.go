@@ -60,6 +60,16 @@ func NewDeviceAger(models Models, dev *device.Mosfet, rng *mathx.RNG) *DeviceAge
 	return a
 }
 
+// reset returns the tracker to fresh wear and redraws its TDDB state from
+// rng in place, as NewDeviceAger draws it. It does not touch the device's
+// installed Damage.
+func (a *DeviceAger) reset(rng *mathx.RNG) {
+	a.nbtiShift, a.hciShift, a.elapsed = 0, 0, 0
+	if a.tddb != nil {
+		a.models.TDDB.redraw(a.tddb, a.dev.Params.Tox*1e9, rng)
+	}
+}
+
 // Step ages the device by dt seconds under the given stress and installs
 // the resulting Damage on the device model.
 func (a *DeviceAger) Step(stress Stress, dt float64) device.Damage {
@@ -206,7 +216,8 @@ type CircuitAger struct {
 	// circuit.
 	OnCheckpoint func(done int, cp Checkpoint)
 
-	agers map[string]*DeviceAger
+	devs  []*circuit.MOSFET // name-sorted, as Circuit.MOSFETs returns them
+	agers []*DeviceAger     // agers[i] wears devs[i]
 }
 
 // NewCircuitAger prepares agers for every MOSFET in the circuit. seed fixes
@@ -214,19 +225,54 @@ type CircuitAger struct {
 // on every run.
 func NewCircuitAger(c *circuit.Circuit, models Models, tempK float64, seed uint64) *CircuitAger {
 	root := mathx.NewRNG(seed)
+	devs := c.MOSFETs()
 	a := &CircuitAger{
 		Circuit: c, Models: models, TempK: tempK,
-		agers: make(map[string]*DeviceAger),
+		devs: devs, agers: make([]*DeviceAger, len(devs)),
 	}
-	mosfets := c.MOSFETs()
-	for i, m := range mosfets {
-		a.agers[m.Name()] = NewDeviceAger(models, m.Dev, root.Split(uint64(i)))
+	for i, m := range devs {
+		a.agers[i] = NewDeviceAger(models, m.Dev, root.Split(uint64(i)))
 	}
 	return a
 }
 
-// Ager returns the per-device wear tracker.
-func (a *CircuitAger) Ager(name string) *DeviceAger { return a.agers[name] }
+// Reseed returns every device to fresh wear and redraws its TDDB Weibull
+// draws in place, leaving the ager in exactly the state NewCircuitAger
+// builds for the same circuit, models and seed: device i draws from the
+// same substream root.Split(i). It allocates nothing and does not touch
+// the damage installed on the devices.
+func (a *CircuitAger) Reseed(seed uint64) {
+	root := mathx.NewRNG(seed)
+	for i, ag := range a.agers {
+		ag.reset(root.Split(uint64(i)))
+	}
+}
+
+// Step ages every device by dt seconds under the bias captured at the
+// circuit's last converged solution — duty 1 unless DutyOverride names
+// the device — in sorted name order, so a given (circuit, seed, steps)
+// ages identically run to run. It does not solve the circuit and
+// allocates nothing.
+func (a *CircuitAger) Step(dt float64) {
+	for i, m := range a.devs {
+		vgs, vds, vbs := m.BiasVoltages()
+		s := Stress{Vgs: vgs, Vds: vds, Vbs: vbs, Duty: 1, TempK: a.TempK}
+		if d, ok := a.DutyOverride[m.Name()]; ok {
+			s.Duty = d
+		}
+		a.agers[i].Step(s, dt)
+	}
+}
+
+// Ager returns the per-device wear tracker, or nil when the circuit has
+// no MOSFET of that name.
+func (a *CircuitAger) Ager(name string) *DeviceAger {
+	i := sort.Search(len(a.devs), func(i int) bool { return a.devs[i].Name() >= name })
+	if i < len(a.devs) && a.devs[i].Name() == name {
+		return a.agers[i]
+	}
+	return nil
+}
 
 // Checkpoint is one point of an aging trajectory.
 type Checkpoint struct {
@@ -266,23 +312,12 @@ func (a *CircuitAger) AgeToCtx(ctx context.Context, checkpoints []float64) ([]Ch
 	}
 	traj = append(traj, Checkpoint{Time: 0, Solution: sol})
 
-	names := a.SortedAgerNames()
 	prev := 0.0
 	for ck, t := range checkpoints {
 		if err := ctx.Err(); err != nil {
 			return traj, fmt.Errorf("aging: cancelled at t=%g: %w", prev, err)
 		}
-		stress := ExtractStressOP(a.Circuit, a.TempK)
-		dt := t - prev
-		for _, name := range names {
-			s := stress[name]
-			if a.DutyOverride != nil {
-				if d, ok := a.DutyOverride[name]; ok {
-					s.Duty = d
-				}
-			}
-			a.agers[name].Step(s, dt)
-		}
+		a.Step(t - prev)
 		prev = t
 		if m := met.Load(); m != nil {
 			m.checkpoints.Inc()
@@ -363,10 +398,9 @@ func LifetimeTo(times, values []float64, limit float64, rising bool) float64 {
 // SortedAgerNames returns the device names with agers, sorted, for
 // deterministic reporting.
 func (a *CircuitAger) SortedAgerNames() []string {
-	out := make([]string, 0, len(a.agers))
-	for n := range a.agers {
-		out = append(out, n)
+	out := make([]string, len(a.devs))
+	for i, m := range a.devs {
+		out[i] = m.Name()
 	}
-	sort.Strings(out)
 	return out
 }

@@ -156,9 +156,17 @@ type TDDBState struct {
 // nm. Uses rng for the Weibull draws; a device's fate is fixed at birth
 // (its weakest percolation path), stress only sets how fast it is reached.
 func (m *TDDBModel) NewTDDBState(area, toxNM float64, rng *mathx.RNG) *TDDBState {
+	st := &TDDBState{}
+	m.redraw(st, toxNM, rng)
+	return st
+}
+
+// redraw returns st to a fresh oxide with new Weibull draws from rng, in
+// place: the same two draws, in the same order, as NewTDDBState.
+func (m *TDDBModel) redraw(st *TDDBState, toxNM float64, rng *mathx.RNG) {
 	beta := m.WeibullSlope(toxNM)
 	unit := mathx.NewWeibull(beta, 1)
-	return &TDDBState{
+	*st = TDDBState{
 		Mode:    Fresh,
 		critAge: unit.Sample(rng),
 		critHBD: unit.Sample(rng),

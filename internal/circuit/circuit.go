@@ -26,6 +26,8 @@ type Circuit struct {
 	elements  []element
 	byName    map[string]element
 	branches  int
+	// mosfets caches MOSFETs' name-sorted list; addElement drops it.
+	mosfets []*MOSFET
 	// slv is the lazily built reusable solve context (matrices, scratch
 	// vectors, warm-start state); see solver.go.
 	slv *solver
@@ -146,6 +148,7 @@ func (c *Circuit) addElement(e element) {
 	}
 	c.elements = append(c.elements, e)
 	c.byName[e.name()] = e
+	c.mosfets = nil
 }
 
 func (c *Circuit) newBranch() int {
@@ -275,8 +278,17 @@ func (c *Circuit) MOSFETByName(name string) (*MOSFET, error) {
 	return m, nil
 }
 
-// MOSFETs returns all MOSFET elements, sorted by name.
+// MOSFETs returns all MOSFET elements, sorted by name. The list is built
+// once and cached until the next element is added, so per-trial callers
+// neither allocate nor sort. The first call fills the cache, so, like the
+// Add methods, it must not run concurrently with other calls on the same
+// circuit. The returned slice is shared: callers may modify the devices
+// it points to but must not modify the slice itself (reorder, overwrite
+// or append to it).
 func (c *Circuit) MOSFETs() []*MOSFET {
+	if c.mosfets != nil {
+		return c.mosfets
+	}
 	var out []*MOSFET
 	for _, e := range c.elements {
 		if m, ok := e.(*MOSFET); ok {
@@ -284,6 +296,7 @@ func (c *Circuit) MOSFETs() []*MOSFET {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].nm < out[j].nm })
+	c.mosfets = out
 	return out
 }
 

@@ -450,3 +450,28 @@ func TestMOSFETGateLeakLoadsDivider(t *testing.T) {
 		t.Errorf("fresh divider = %g, want ~0.55", fresh)
 	}
 }
+
+// TestMOSFETsCache checks that MOSFETs serves its cached list without
+// allocating and that adding an element drops the cache, so the next call
+// sees the new device in name order.
+func TestMOSFETsCache(t *testing.T) {
+	tech := device.MustTech("90nm")
+	c := New()
+	c.AddVSource("VDD", "vdd", "0", DC(tech.VDD))
+	c.AddMOSFET("M2", "vdd", "vdd", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, tech.Lmin, 300)))
+	first := c.MOSFETs()
+	if len(first) != 1 || first[0].Name() != "M2" {
+		t.Fatalf("MOSFETs = %v", first)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = c.MOSFETs() }); n != 0 {
+		t.Errorf("cached MOSFETs allocated %v times per call, want 0", n)
+	}
+	c.AddMOSFET("M1", "vdd", "vdd", "0", "0", device.NewMosfet(tech.NMOSParams(1e-6, tech.Lmin, 300)))
+	got := c.MOSFETs()
+	if len(got) != 2 || got[0].Name() != "M1" || got[1].Name() != "M2" {
+		t.Fatalf("MOSFETs after AddMOSFET = [%s ...] (%d), want [M1 M2]", got[0].Name(), len(got))
+	}
+	if len(first) != 1 || first[0].Name() != "M2" {
+		t.Error("AddMOSFET changed a list returned before it")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/mathx"
 )
 
 // TestBatchedRunBitIdentical pins the contract of Simulator.Batch: reusing
@@ -95,5 +96,29 @@ func TestBatchedRunSurvivesFailingBuild(t *testing.T) {
 		if te.Phase != "build" {
 			t.Fatalf("unexpected error phase %q: %v", te.Phase, te)
 		}
+	}
+}
+
+// TestDieAgerReseedAllocs pins the per-trial re-seed of a die's ager —
+// every device back to fresh wear, TDDB Weibull draws redrawn in place —
+// at zero allocations.
+func TestDieAgerReseedAllocs(t *testing.T) {
+	s := tddbSim(11)
+	if s.Models.TDDB == nil {
+		t.Fatal("die models must include TDDB")
+	}
+	s.Batch = 4
+	mission := Mission{Duration: year, TempK: 400, Checkpoints: 2, Duty: map[string]float64{"M1": 0.5}}
+	d, err := s.diePool().Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := append([]float64{0}, mission.CheckpointTimes()...)
+	if out := s.runTrialOn(&d.V, 0, mathx.NewRNG(1), times, mission); out.err != nil || d.V.ager == nil {
+		t.Fatalf("first trial on the die: err %v, ager %v", out.err, d.V.ager)
+	}
+	seed := uint64(0)
+	if n := testing.AllocsPerRun(100, func() { seed++; d.V.ager.Reseed(seed) }); n != 0 {
+		t.Fatalf("Reseed allocated %v times per call, want 0", n)
 	}
 }

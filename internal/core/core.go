@@ -234,7 +234,7 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 		if err != nil {
 			return trialOut{}, &variation.TrialError{Index: i, Phase: "build", Cause: err}
 		}
-		out := s.runTrialOn(d.V.c, i, rng, times, mission)
+		out := s.runTrialOn(&d.V, i, rng, times, mission)
 		if out.err != nil {
 			return out, out.err
 		}
@@ -323,10 +323,13 @@ func (s *Simulator) RunCtx(ctx context.Context, nTrials int, mission Mission) (*
 	return res, nil
 }
 
-// die is one fabricated circuit plus the post-Build damage of its
-// MOSFETs, which reuse restores.
+// die is one fabricated circuit, the ager that wears it through the
+// mission, and the post-Build damage of its MOSFETs, which reuse restores.
+// The ager is built by the die's first trial and re-seeded by every later
+// one.
 type die struct {
 	c    *circuit.Circuit
+	ager *aging.CircuitAger
 	devs []*circuit.MOSFET
 	snap []device.Damage
 }
@@ -413,7 +416,8 @@ func (s *Simulator) buildTrialCircuit(guess []float64) (c *circuit.Circuit, err 
 // that blew up, so one pathological die cannot take down the whole run.
 // Newton iterations are accounted as the delta over the trial, so circuit
 // reuse does not double-count earlier trials' work.
-func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, times []float64, mission Mission) (out trialOut) {
+func (s *Simulator) runTrialOn(d *die, index int, rng *mathx.RNG, times []float64, mission Mission) (out trialOut) {
+	c := d.c
 	newton0 := c.NewtonIterations()
 	phase := "mismatch"
 	defer func() {
@@ -432,8 +436,12 @@ func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, ti
 	variation.ApplyRandomMismatch(c, s.Tech, corner, rng.Split(1))
 
 	phase = "age"
-	ager := aging.NewCircuitAger(c, s.Models, mission.TempK, rng.Split(2).Uint64())
-	ager.DutyOverride = mission.Duty
+	if seed := rng.Split(2).Uint64(); d.ager == nil {
+		d.ager = aging.NewCircuitAger(c, s.Models, mission.TempK, seed)
+		d.ager.DutyOverride = mission.Duty
+	} else {
+		d.ager.Reseed(seed)
+	}
 
 	out.inSpec = make([]bool, len(times))
 	out.values = make([][]float64, len(times))
@@ -470,16 +478,7 @@ func (s *Simulator) runTrialOn(c *circuit.Circuit, index int, rng *mathx.RNG, ti
 			out.ok = true
 			return
 		}
-		stress := aging.ExtractStressOP(c, mission.TempK)
-		for _, name := range ager.SortedAgerNames() {
-			st := stress[name]
-			if mission.Duty != nil {
-				if d, ok := mission.Duty[name]; ok {
-					st.Duty = d
-				}
-			}
-			ager.Ager(name).Step(st, times[k]-prev)
-		}
+		d.ager.Step(times[k] - prev)
 		prev = times[k]
 		measure(k)
 	}

@@ -2,11 +2,17 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/aging"
+	"repro/internal/circuit"
+	"repro/internal/device"
+	"repro/internal/variation"
 )
 
 // goldenCanon renders every number a reliability run reports as exact
@@ -63,6 +69,72 @@ errors 0 cancelled 0 newton 336
 			}
 			if got := goldenCanon(res); got != want {
 				t.Errorf("procs=%d batch=%d: run differs from the golden pin\ngot:\n%s\nwant:\n%s", procs, batch, got, want)
+			}
+		}
+	}
+}
+
+// tddbSim is a two-stage amplifier aged by all three mechanisms: the PMOS
+// common-source stage of ampSim drives an NMOS common-source stage, so
+// both devices carry a TDDB Weibull draw and the per-device RNG
+// substreams of the ager are each exercised.
+func tddbSim(seed uint64) *Simulator {
+	tech := device.MustTech("90nm")
+	build := func() (*circuit.Circuit, error) {
+		c := circuit.New()
+		c.AddVSource("VDD", "vdd", "0", circuit.DC(tech.VDD))
+		c.AddVSource("VG", "g", "0", circuit.DC(0.2))
+		c.AddMOSFET("M1", "d", "g", "vdd", "vdd", device.NewMosfet(tech.PMOSParams(4e-6, 2*tech.Lmin, 300)))
+		c.AddResistor("RD", "d", "0", 1.5e3)
+		c.AddMOSFET("M2", "o", "d", "0", "0", device.NewMosfet(tech.NMOSParams(8e-6, 2*tech.Lmin, 300)))
+		c.AddResistor("RO", "vdd", "o", 2e3)
+		return c, nil
+	}
+	c, _ := build()
+	sol, _ := c.OperatingPoint()
+	vd, vo := sol.Voltage("d"), sol.Voltage("o")
+	op := func(node string) func(c *circuit.Circuit) (float64, error) {
+		return func(c *circuit.Circuit) (float64, error) {
+			sol, err := c.OperatingPoint()
+			if err != nil {
+				return 0, err
+			}
+			return sol.Voltage(node), nil
+		}
+	}
+	return &Simulator{
+		Build:  build,
+		Tech:   tech,
+		Models: aging.DefaultModels(),
+		Metrics: []Metric{
+			{Name: "vd", Measure: op("d"), Spec: variation.Spec{Name: "vd", Lo: 0.75 * vd, Hi: 1.25 * vd}},
+			{Name: "vo", Measure: op("o"), Spec: variation.Spec{Name: "vo", Lo: 0.75 * vo, Hi: 1.25 * vo}},
+		},
+		Seed: seed,
+	}
+}
+
+// TestRunGoldenPinTDDB pins a run with NBTI, HCI and TDDB enabled and a
+// duty override on one device, so the per-trial TDDB Weibull redraws of
+// the ager are covered bit for bit: the SHA-256 of goldenCanon, captured
+// before the ager was made reusable across a die's trials, must hold for
+// die reuse off and on and for one and four workers.
+func TestRunGoldenPinTDDB(t *testing.T) {
+	const want = "815a28ba591fada2fb561dd466d6d518e084f6ffd2451f6a20bae7e1f29e36d3"
+	mission := Mission{Duration: 20 * year, TempK: 400, Checkpoints: 6, Duty: map[string]float64{"M1": 0.5}}
+	for _, procs := range []int{1, 4} {
+		for _, batch := range []int{1, 32} {
+			s := tddbSim(11)
+			s.Batch = batch
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := s.RunCtx(context.Background(), 48, mission)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon := goldenCanon(res)
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(canon))); got != want {
+				t.Errorf("procs=%d batch=%d: run digest %s, want %s\n%s", procs, batch, got, want, canon)
 			}
 		}
 	}

@@ -196,36 +196,31 @@ func (m *Mosfet) VT() float64 {
 		m.Mismatch.DeltaVT0 + m.Damage.DeltaVT
 }
 
-// ekvF is the EKV interpolation function F(x) = ln²(1 + exp(x/2)): ~exp(x)
-// deep in weak inversion, ~(x/2)² in strong inversion.
-func ekvF(x float64) float64 {
-	l := softplus(x / 2)
-	return l * l
-}
-
-// ekvFPrime is dF/dx = ln(1+exp(x/2)) · sigmoid(x/2).
-func ekvFPrime(x float64) float64 {
-	return softplus(x/2) * sigmoid(x/2)
-}
-
-// softplus computes ln(1+exp(x)) without overflow.
-func softplus(x float64) float64 {
-	if x > 40 {
-		return x
+// ekv evaluates the EKV interpolation function F(x) = ln²(1 + exp(x/2))
+// — ~exp(x) deep in weak inversion, ~(x/2)² in strong inversion — and its
+// derivative F'(x) = ln(1+exp(x/2)) · sigmoid(x/2) from one softplus
+// l = ln(1+exp(x/2)): F = l·l and F' = l·sigmoid(x/2). Below zero the
+// softplus and the sigmoid share one exp. Beyond |x/2| > 40 the sigmoid is
+// exact without an exp: exp(-40) is below half an ulp of 1, so 1+exp(-|x/2|)
+// rounds to 1 and the sigmoid is 1 (above) or exp(x/2) itself (below).
+func ekv(x float64) (f, fp float64) {
+	h := x / 2
+	var l, s float64
+	switch {
+	case h > 40:
+		l, s = h, 1
+	case h >= 0:
+		l = math.Log1p(math.Exp(h))
+		s = 1 / (1 + math.Exp(-h))
+	case h < -40:
+		l = math.Exp(h)
+		s = l
+	default:
+		e := math.Exp(h)
+		l = math.Log1p(e)
+		s = e / (1 + e)
 	}
-	if x < -40 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
-}
-
-// sigmoid computes 1/(1+exp(-x)).
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
+	return l * l, l * s
 }
 
 // Eval computes the drain current and small-signal conductances at the
@@ -282,8 +277,8 @@ func (m *Mosfet) Eval(vgs, vds, vbs float64) OperatingPoint {
 	vp := (vgs - vteff) / n
 	xf := vp / vt
 	xr := (vp - vds) / vt
-	ff := ekvF(xf)
-	fr := ekvF(xr)
+	ff, dfdxf := ekv(xf)
+	fr, dfdxr := ekv(xr)
 
 	lambda := p.Lambda * m.Damage.LambdaFactor
 	clm := 1 + lambda*vds // vds >= 0 after the swap
@@ -293,8 +288,6 @@ func (m *Mosfet) Eval(vgs, vds, vbs float64) OperatingPoint {
 	id := idCore * clm
 
 	// Derivatives in flipped space.
-	dfdxf := ekvFPrime(xf)
-	dfdxr := ekvFPrime(xr)
 	// dID/dVGS: VP depends on VGS with slope 1/n.
 	gm := ispec * (dfdxf - dfdxr) / (n * vt) * clm
 	// dID/dVDS: xr depends on VDS with slope -1/vt; plus CLM term.

@@ -44,10 +44,8 @@ func SplitMix64(x uint64) uint64 {
 // the same sequence. The seed is mixed through SplitMix64, so sequential
 // seeds (1, 2, 3, …) start from statistically unrelated states.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{inc: pcgDefaultInc}
-	r.state = SplitMix64(seed) + r.inc
-	r.Uint64()
-	return r
+	r := newRNG(seed, 0, false)
+	return &r
 }
 
 // NewRNGStream returns a generator on an explicit stream; generators with
@@ -57,7 +55,20 @@ func NewRNG(seed uint64) *RNG {
 // differ from stream i+1 / seed s+1 by small constants, and such nearly-
 // identical (state, inc) pairs yield visibly correlated output prefixes.
 func NewRNGStream(seed, stream uint64) *RNG {
-	r := &RNG{inc: (SplitMix64(stream) << 1) | 1}
+	r := newRNG(seed, stream, true)
+	return &r
+}
+
+// newRNG seeds a generator on the default PCG increment, or on stream's
+// increment when onStream is set. It works by value so the exported
+// constructors stay small enough to inline, which keeps a generator that
+// does not outlive its caller off the heap.
+func newRNG(seed, stream uint64, onStream bool) RNG {
+	inc := uint64(pcgDefaultInc)
+	if onStream {
+		inc = (SplitMix64(stream) << 1) | 1
+	}
+	r := RNG{inc: inc}
 	r.state = SplitMix64(seed) + r.inc
 	r.Uint64()
 	return r
